@@ -187,7 +187,7 @@ pub fn subgroup_fairness_violation(
             }
             let rate_gap = go.prob(g, pos) - base_rate;
             out.push(SubgroupViolation {
-                subgroup: go.group_labels()[g].clone(),
+                subgroup: go.group_label(g),
                 mass,
                 rate_gap,
                 weighted: mass * rate_gap.abs(),

@@ -12,7 +12,7 @@
 //!   conditionals are exactly the `P(y|D) = Σ_E P(y|E,D) P(E|D)` of the
 //!   Theorem 3.2 proof.
 
-use crate::epsilon::{EpsilonResult, GroupOutcomes};
+use crate::epsilon::{EpsilonResult, GroupLabels, GroupOutcomes};
 use crate::error::{DfError, Result};
 use df_prob::contingency::{Axis, ContingencyTable};
 use df_prob::estimate::{categorical_mle, dirichlet_posterior_predictive};
@@ -129,7 +129,9 @@ impl JointCounts {
     /// `alpha ≥ 0` (0 = MLE / Eq. 6; α > 0 = Eq. 7).
     ///
     /// Group weights are the group totals `N_s`, so unobserved intersections
-    /// are excluded from ε exactly as Definition 3.1 prescribes.
+    /// are excluded from ε exactly as Definition 3.1 prescribes. Group `g`
+    /// is labelled `a0=v, a1=w, …` in mixed-radix order; the labels are
+    /// formatted only when read (see [`GroupOutcomes::group_labels`]).
     pub fn group_outcomes(&self, alpha: f64) -> Result<GroupOutcomes> {
         let n_outcomes = self.table.axes()[0].len();
         let attr_axes = &self.table.axes()[1..];
@@ -138,19 +140,14 @@ impl JointCounts {
         let mut probs = vec![0.0; n_groups * n_outcomes];
         let mut weights = vec![0.0; n_groups];
         let mut counts = vec![0.0; n_outcomes];
-        let mut idx = vec![0usize; self.table.ndim()];
+        let data = self.table.data();
 
         // Group flat index: mixed-radix over the attribute axes (outcome
-        // axis excluded), matching ProtectedSpace::flatten order.
+        // axis excluded), matching ProtectedSpace::flatten order. With the
+        // outcome axis first, cell `(y, g)` sits at `y · |groups| + g`.
         for g in 0..n_groups {
-            let mut rem = g;
-            for (k, axis) in attr_axes.iter().enumerate().rev() {
-                idx[k + 1] = rem % axis.len();
-                rem /= axis.len();
-            }
             for (y, c) in counts.iter_mut().enumerate() {
-                idx[0] = y;
-                *c = self.table.get(&idx);
+                *c = data[y * n_groups + g];
             }
             let total: f64 = counts.iter().sum();
             weights[g] = total;
@@ -170,20 +167,12 @@ impl JointCounts {
             }
         }
 
-        let group_labels: Vec<String> = (0..n_groups)
-            .map(|g| {
-                let mut rem = g;
-                let mut parts = vec![String::new(); attr_axes.len()];
-                for (k, axis) in attr_axes.iter().enumerate().rev() {
-                    let v = rem % axis.len();
-                    rem /= axis.len();
-                    parts[k] = format!("{}={}", axis.name(), axis.labels()[v]);
-                }
-                parts.join(", ")
-            })
-            .collect();
-
-        GroupOutcomes::new(self.outcome_labels().to_vec(), group_labels, probs, weights)
+        GroupOutcomes::with_labels(
+            self.outcome_labels().to_vec(),
+            GroupLabels::product(attr_axes.to_vec()),
+            probs,
+            weights,
+        )
     }
 
     /// Empirical differential fairness (Eq. 6): ε of the MLE conditionals.

@@ -11,8 +11,11 @@
 //! outcome, the extreme log-probabilities rather than scanning all pairs.
 
 use crate::error::{DfError, Result};
+use df_prob::contingency::Axis;
 use df_prob::numerics::{exactly_zero, log_ratio};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Where the maximal log-ratio was attained: the witness pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,6 +66,110 @@ impl EpsilonResult {
     }
 }
 
+/// The display labels of a table's groups, behind one shared pointer.
+///
+/// Every table derived from one schema — its smoothed and estimated
+/// copies, posterior draws, a monitor's per-push tables — shares one
+/// label source, so cloning a [`GroupOutcomes`] copies a pointer. Labels
+/// of an attribute product are formatted on demand: [`Self::label`]
+/// decodes a single group, and [`Self::all`] formats the full list once,
+/// on first read. Equality, `Debug` and serialization go through the
+/// label strings, so both forms of the same strings are indistinguishable.
+#[derive(Clone)]
+pub(crate) struct GroupLabels(Arc<LabelSource>);
+
+enum LabelSource {
+    /// Caller-supplied labels.
+    Explicit(Vec<String>),
+    /// `a0=v, a1=w, …` over the attribute axes, one group per cell of
+    /// their product in mixed-radix order (last axis fastest).
+    Product {
+        axes: Vec<Axis>,
+        all: OnceLock<Vec<String>>,
+    },
+}
+
+impl GroupLabels {
+    pub(crate) fn explicit(labels: Vec<String>) -> Self {
+        Self(Arc::new(LabelSource::Explicit(labels)))
+    }
+
+    /// The labels of every cell of the attribute axes' product.
+    pub(crate) fn product(axes: Vec<Axis>) -> Self {
+        Self(Arc::new(LabelSource::Product {
+            axes,
+            all: OnceLock::new(),
+        }))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match &*self.0 {
+            LabelSource::Explicit(labels) => labels.len(),
+            LabelSource::Product { axes, .. } => axes.iter().map(Axis::len).product(),
+        }
+    }
+
+    /// The label of group `g`.
+    pub(crate) fn label(&self, g: usize) -> String {
+        match &*self.0 {
+            LabelSource::Explicit(labels) => labels[g].clone(),
+            LabelSource::Product { axes, all } => match all.get() {
+                Some(labels) => labels[g].clone(),
+                None => product_label(axes, g),
+            },
+        }
+    }
+
+    /// Every label, in group order.
+    pub(crate) fn all(&self) -> &[String] {
+        match &*self.0 {
+            LabelSource::Explicit(labels) => labels,
+            LabelSource::Product { axes, all } => {
+                all.get_or_init(|| (0..self.len()).map(|g| product_label(axes, g)).collect())
+            }
+        }
+    }
+}
+
+/// `name=label` per attribute axis, joined by `", "`, for the product
+/// cell `g` (mixed-radix decode, last axis fastest).
+fn product_label(axes: &[Axis], g: usize) -> String {
+    let mut digits = vec![0usize; axes.len()];
+    let mut rem = g;
+    for (d, axis) in digits.iter_mut().zip(axes).rev() {
+        *d = rem % axis.len();
+        rem /= axis.len();
+    }
+    let mut out = String::new();
+    for (k, (axis, &d)) in axes.iter().zip(&digits).enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(axis.name());
+        out.push('=');
+        out.push_str(&axis.labels()[d]);
+    }
+    out
+}
+
+impl PartialEq for GroupLabels {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.all() == other.all()
+    }
+}
+
+impl fmt::Debug for GroupLabels {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.all()).finish()
+    }
+}
+
+impl Serialize for GroupLabels {
+    fn serialize(&self) -> Value {
+        self.all().serialize()
+    }
+}
+
 /// Group-conditional outcome probabilities `P(y | s)` with group weights
 /// `P(s)`.
 ///
@@ -71,7 +178,7 @@ impl EpsilonResult {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GroupOutcomes {
     outcome_labels: Vec<String>,
-    group_labels: Vec<String>,
+    group_labels: GroupLabels,
     /// Row-major `groups × outcomes` probabilities.
     probs: Vec<f64>,
     /// Group marginal probabilities (or counts — only positivity matters for
@@ -85,6 +192,21 @@ impl GroupOutcomes {
     pub fn new(
         outcome_labels: Vec<String>,
         group_labels: Vec<String>,
+        probs: Vec<f64>,
+        weights: Vec<f64>,
+    ) -> Result<Self> {
+        Self::with_labels(
+            outcome_labels,
+            GroupLabels::explicit(group_labels),
+            probs,
+            weights,
+        )
+    }
+
+    /// [`Self::new`] over a shared label source.
+    pub(crate) fn with_labels(
+        outcome_labels: Vec<String>,
+        group_labels: GroupLabels,
         probs: Vec<f64>,
         weights: Vec<f64>,
     ) -> Result<Self> {
@@ -134,7 +256,7 @@ impl GroupOutcomes {
                 if (row_sum - 1.0).abs() > 1e-6 {
                     return Err(DfError::Invalid(format!(
                         "group `{}` outcome probabilities sum to {row_sum}, not 1",
-                        group_labels[g]
+                        group_labels.label(g)
                     )));
                 }
             }
@@ -163,14 +285,26 @@ impl GroupOutcomes {
         &self.outcome_labels
     }
 
-    /// Group labels.
+    /// Group labels. Labels of an attribute product are formatted on the
+    /// first call and shared by every table cloned or derived from this
+    /// one; [`Self::group_label`] reads one without formatting the rest.
     pub fn group_labels(&self) -> &[String] {
+        self.group_labels.all()
+    }
+
+    /// The label of group `g`.
+    pub fn group_label(&self, g: usize) -> String {
+        self.group_labels.label(g)
+    }
+
+    /// The shared label source, for tables derived from this one.
+    pub(crate) fn shared_labels(&self) -> &GroupLabels {
         &self.group_labels
     }
 
     /// Number of groups.
     pub fn num_groups(&self) -> usize {
-        self.group_labels.len()
+        self.weights.len()
     }
 
     /// Number of outcomes.
@@ -210,10 +344,9 @@ impl GroupOutcomes {
                 witness: None,
             };
         }
-        let mut best = EpsilonResult {
-            epsilon: 0.0,
-            witness: None,
-        };
+        // (ε, outcome, g_hi, g_lo, max_p, min_p) of the worst outcome so
+        // far; labels are formatted once, for the final witness only.
+        let mut best: Option<(f64, usize, usize, usize, f64, f64)> = None;
         for y in 0..self.num_outcomes() {
             // Track min/max probability over populated groups; a zero among
             // positive probabilities blows the ratio up to ∞.
@@ -233,20 +366,38 @@ impl GroupOutcomes {
             }
             let gap = log_ratio(max_p, min_p);
             // `log_ratio(0, 0) == 0` covers the all-zero outcome column.
-            if gap > best.epsilon || best.witness.is_none() && gap >= best.epsilon {
-                best = EpsilonResult {
-                    epsilon: gap,
-                    witness: Some(EpsilonWitness {
-                        outcome: self.outcome_labels[y].clone(),
-                        group_hi: self.group_labels[g_hi].clone(),
-                        group_lo: self.group_labels[g_lo].clone(),
-                        prob_hi: max_p,
-                        prob_lo: min_p,
-                    }),
-                };
+            if best.map_or(gap >= 0.0, |b| gap > b.0) {
+                best = Some((gap, y, g_hi, g_lo, max_p, min_p));
             }
         }
-        best
+        match best {
+            Some((epsilon, y, g_hi, g_lo, max_p, min_p)) => EpsilonResult {
+                epsilon,
+                witness: Some(self.witness(y, g_hi, g_lo, max_p, min_p)),
+            },
+            None => EpsilonResult {
+                epsilon: 0.0,
+                witness: None,
+            },
+        }
+    }
+
+    /// The witness naming outcome `y` and groups `g_hi`, `g_lo`.
+    pub(crate) fn witness(
+        &self,
+        y: usize,
+        g_hi: usize,
+        g_lo: usize,
+        prob_hi: f64,
+        prob_lo: f64,
+    ) -> EpsilonWitness {
+        EpsilonWitness {
+            outcome: self.outcome_labels[y].clone(),
+            group_hi: self.group_labels.label(g_hi),
+            group_lo: self.group_labels.label(g_lo),
+            prob_hi,
+            prob_lo,
+        }
     }
 
     /// All pairwise log-ratios for one outcome — the quantities tabulated in
@@ -317,7 +468,7 @@ impl GroupOutcomes {
                 probs[g * n_outcomes + y] = (c + alpha) / denom;
             }
         }
-        GroupOutcomes::new(
+        GroupOutcomes::with_labels(
             self.outcome_labels.clone(),
             self.group_labels.clone(),
             probs,

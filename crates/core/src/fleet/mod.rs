@@ -39,4 +39,4 @@ pub mod tree;
 pub use codec::{decode_snapshot, encode_snapshot, SnapshotDecoder, SnapshotEncoder};
 pub use ingest::{FleetIngest, FleetProducer};
 pub use telemetry::{FleetTelemetry, ShardTelemetry};
-pub use tree::{merge_many, merge_tree};
+pub use tree::{merge_many, merge_many_borrowed, merge_tree};

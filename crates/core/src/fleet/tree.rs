@@ -44,7 +44,17 @@ pub fn merge_many(
     snapshots: &[MonitorSnapshot],
     estimator: &dyn EpsilonEstimator,
 ) -> Result<MonitorSnapshot> {
-    merge_tree(snapshots, snapshots.len().max(2), estimator)
+    merge_many_borrowed(&snapshots.iter().collect::<Vec<_>>(), estimator)
+}
+
+/// [`merge_many`] over borrowed snapshots, for callers that keep their
+/// shard states (e.g. an audit server's stored replica snapshots): only
+/// the first snapshot is cloned, as the accumulator.
+pub fn merge_many_borrowed(
+    snapshots: &[&MonitorSnapshot],
+    estimator: &dyn EpsilonEstimator,
+) -> Result<MonitorSnapshot> {
+    fold_tree(snapshots, snapshots.len().max(2), estimator)
 }
 
 /// [`merge_many`] through an explicit k-ary aggregation tree: leaves are
@@ -58,6 +68,14 @@ pub fn merge_many(
 /// than bit-for-bit.)
 pub fn merge_tree(
     snapshots: &[MonitorSnapshot],
+    arity: usize,
+    estimator: &dyn EpsilonEstimator,
+) -> Result<MonitorSnapshot> {
+    fold_tree(&snapshots.iter().collect::<Vec<_>>(), arity, estimator)
+}
+
+fn fold_tree(
+    snapshots: &[&MonitorSnapshot],
     arity: usize,
     estimator: &dyn EpsilonEstimator,
 ) -> Result<MonitorSnapshot> {

@@ -49,7 +49,7 @@
 
 use crate::builder::EpsilonEstimator;
 use crate::edf::JointCounts;
-use crate::epsilon::{EpsilonResult, EpsilonWitness, GroupOutcomes};
+use crate::epsilon::{EpsilonResult, GroupOutcomes};
 use crate::error::{DfError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -221,26 +221,20 @@ fn worst_outcome(
     extremes: &[OutcomeExtremes],
     statistic: impl Fn(&OutcomeExtremes) -> f64,
 ) -> EpsilonResult {
-    let mut best = EpsilonResult {
-        epsilon: 0.0,
-        witness: None,
-    };
+    let mut best: Option<(f64, &OutcomeExtremes)> = None;
     for e in extremes {
         let stat = statistic(e);
-        if stat > best.epsilon || best.witness.is_none() && stat >= best.epsilon {
-            best = EpsilonResult {
-                epsilon: stat,
-                witness: Some(EpsilonWitness {
-                    outcome: table.outcome_labels()[e.outcome].clone(),
-                    group_hi: table.group_labels()[e.g_hi].clone(),
-                    group_lo: table.group_labels()[e.g_lo].clone(),
-                    prob_hi: e.max_p,
-                    prob_lo: e.min_p,
-                }),
-            };
+        if best.map_or(stat >= 0.0, |b| stat > b.0) {
+            best = Some((stat, e));
         }
     }
-    best
+    match best {
+        Some((epsilon, e)) => EpsilonResult {
+            epsilon,
+            witness: Some(table.witness(e.outcome, e.g_hi, e.g_lo, e.max_p, e.min_p)),
+        },
+        None => vacuous(),
+    }
 }
 
 /// The vacuous result when fewer than two groups are populated.
@@ -454,7 +448,7 @@ impl LevelingDown {
                 let floor = (0..table.num_outcomes())
                     .map(|y| table.prob(g, y))
                     .fold(f64::INFINITY, f64::min);
-                (table.group_labels()[g].clone(), floor)
+                (table.group_label(g), floor)
             })
             .collect();
         LevelingDown { floors }

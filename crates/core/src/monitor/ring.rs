@@ -1,24 +1,24 @@
 //! The record-count bucket ring and the cached per-push ε engine.
 
-use crate::epsilon::GroupOutcomes;
+use crate::epsilon::{GroupLabels, GroupOutcomes};
 use crate::error::Result;
 use df_prob::contingency::{Axis, ContingencyTable};
 use df_prob::numerics::stable_sum;
 use std::collections::VecDeque;
 
 /// Precomputed schema state for the per-push hot path: evaluating ε on
-/// every window update must not re-canonicalize the table or re-format
-/// group labels (both allocate strings), so the flat cell index of every
-/// `(group, outcome)` pair and all display labels are resolved once at
-/// build time. [`WindowEngine::raw_outcomes`] then reads counts straight
-/// out of the schema-order table — producing a [`GroupOutcomes`] that is
-/// **value-identical** to
+/// every window update must not re-canonicalize the table, so the flat
+/// cell index of every `(group, outcome)` pair is resolved once at build
+/// time, and every table the engine hands out shares one label source
+/// (labels are formatted only when read). [`WindowEngine::raw_outcomes`]
+/// then reads counts straight out of the schema-order table — producing
+/// a [`GroupOutcomes`] that is **value-identical** to
 /// `JointCounts::from_table(table, outcome).group_outcomes(0.0)` (same
 /// arithmetic, same label strings; asserted by a unit test), at a
 /// fraction of the cost.
 pub(super) struct WindowEngine {
     outcome_labels: Vec<String>,
-    group_labels: Vec<String>,
+    group_labels: GroupLabels,
     /// `flat[g · |Y| + y]` = flat index of `(group g, outcome y)` in the
     /// schema-order table.
     flat: Vec<usize>,
@@ -33,22 +33,19 @@ impl WindowEngine {
         // Attribute axes in canonical order: schema order, outcome removed
         // — exactly the order `JointCounts::from_table` preserves.
         let attr_positions: Vec<usize> = (0..axes.len()).filter(|&i| i != pos).collect();
-        let n_groups: usize = attr_positions.iter().map(|&i| axes[i].len()).product();
+        let group_labels =
+            GroupLabels::product(attr_positions.iter().map(|&p| axes[p].clone()).collect());
+        let n_groups = group_labels.len();
         let mut flat = Vec::with_capacity(n_groups * n_outcomes);
-        let mut group_labels = Vec::with_capacity(n_groups);
         let mut idx = vec![0usize; axes.len()];
         for g in 0..n_groups {
             // Mixed-radix decode, last attribute fastest (the kernel's
             // intersection indexing).
             let mut rem = g;
-            let mut parts = vec![String::new(); attr_positions.len()];
-            for (k, &p) in attr_positions.iter().enumerate().rev() {
-                let v = rem % axes[p].len();
+            for &p in attr_positions.iter().rev() {
+                idx[p] = rem % axes[p].len();
                 rem /= axes[p].len();
-                idx[p] = v;
-                parts[k] = format!("{}={}", axes[p].name(), axes[p].labels()[v]);
             }
-            group_labels.push(parts.join(", "));
             for y in 0..n_outcomes {
                 idx[pos] = y;
                 flat.push(template.flat_index(&idx));
@@ -87,7 +84,7 @@ impl WindowEngine {
                 }
             }
         }
-        GroupOutcomes::new(
+        GroupOutcomes::with_labels(
             self.outcome_labels.clone(),
             self.group_labels.clone(),
             probs,

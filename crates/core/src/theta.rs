@@ -144,9 +144,9 @@ pub fn posterior_theta_from_table(
                 }
             }
         }
-        samples.push(GroupOutcomes::new(
+        samples.push(GroupOutcomes::with_labels(
             base.outcome_labels().to_vec(),
-            base.group_labels().to_vec(),
+            base.shared_labels().clone(),
             probs,
             base.weights().to_vec(),
         )?);

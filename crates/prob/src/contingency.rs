@@ -390,16 +390,35 @@ impl ContingencyTable {
         let out_axes: Vec<Axis> = keep_pos.iter().map(|&p| self.axes[p].clone()).collect();
         let mut out = ContingencyTable::zeros(out_axes)?;
 
-        // Walk every source cell once, accumulating into the projected index.
-        let mut src_idx = vec![0usize; self.axes.len()];
-        let mut out_idx = vec![0usize; keep_pos.len()];
-        for (flat, &v) in self.data.iter().enumerate() {
-            if !exactly_zero(v) {
-                self.unflatten(flat, &mut src_idx);
-                for (o, &p) in out_idx.iter_mut().zip(&keep_pos) {
-                    *o = src_idx[p];
+        // Destination stride of every source axis; 0 sums the axis out.
+        let mut dst_stride = vec![0usize; self.axes.len()];
+        for (&p, &stride) in keep_pos.iter().zip(&out.strides) {
+            dst_stride[p] = stride;
+        }
+        // Walk the source cells once in flat order, one innermost-axis run
+        // at a time, carrying the destination offset with an odometer over
+        // the outer axes. Each destination cell receives its source cells
+        // in flat order, so float sums are associated exactly as a per-cell
+        // `add` would associate them.
+        let shape = self.shape();
+        let last = self.axes.len() - 1;
+        let (run, run_stride) = (shape[last], dst_stride[last]);
+        let mut digit = vec![0usize; last];
+        let mut base = 0usize;
+        for cells in self.data.chunks_exact(run) {
+            for (j, &v) in cells.iter().enumerate() {
+                if !exactly_zero(v) {
+                    out.data[base + j * run_stride] += v;
                 }
-                out.add(&out_idx, v);
+            }
+            for a in (0..last).rev() {
+                digit[a] += 1;
+                base += dst_stride[a];
+                if digit[a] < shape[a] {
+                    break;
+                }
+                digit[a] = 0;
+                base -= shape[a] * dst_stride[a];
             }
         }
         Ok(out)

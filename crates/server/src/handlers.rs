@@ -19,6 +19,11 @@ use serde_json::Value;
 use std::io::Cursor;
 use std::time::Duration;
 
+/// Upper bound on `?samples=` for the posterior-sup estimator: each draw
+/// is a full group×outcome table, so the count is capped before anything
+/// is allocated for it.
+pub const MAX_POSTERIOR_SAMPLES: u64 = 10_000;
+
 /// Dispatches one request to its handler.
 pub fn route(state: &ServerState, req: &Request) -> Response {
     let params = parse_query(&req.query);
@@ -262,6 +267,18 @@ fn parse_u64(params: &[(String, String)], name: &str, default: u64) -> Result<u6
     }
 }
 
+/// `?samples=`: posterior draws, 1 to [`MAX_POSTERIOR_SAMPLES`].
+fn parse_samples(params: &[(String, String)]) -> Result<usize> {
+    let samples = parse_u64(params, "samples", 200)?;
+    if !(1..=MAX_POSTERIOR_SAMPLES).contains(&samples) {
+        return Err(DfError::Invalid(format!(
+            "`samples` must be between 1 and {MAX_POSTERIOR_SAMPLES}, got {samples}"
+        )));
+    }
+    usize::try_from(samples)
+        .map_err(|_| DfError::Invalid(format!("`samples` {samples} does not fit in memory")))
+}
+
 fn snapshot_timeout(state: &ServerState, params: &[(String, String)]) -> Result<Duration> {
     let default = state.snapshot_timeout().as_millis() as u64;
     Ok(Duration::from_millis(parse_u64(
@@ -329,7 +346,7 @@ fn audit_inner(
 
     let mut audit = Audit::of_counts(counts)?;
     let alpha = parse_f64(params, "alpha", 1.0)?;
-    let samples = parse_u64(params, "samples", 200)? as usize;
+    let samples = parse_samples(params)?;
     let seed = parse_u64(params, "seed", 0)?;
     for (_, value) in params.iter().filter(|(k, _)| k == "estimator") {
         audit = match value.as_str() {

@@ -66,6 +66,7 @@ mod state;
 
 mod handlers;
 
+pub use handlers::MAX_POSTERIOR_SAMPLES;
 pub use negotiate::NegotiateError;
 pub use obs::AccessRecord;
 pub use state::ServerState;

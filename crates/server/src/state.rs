@@ -27,7 +27,7 @@
 use crate::http::Response;
 use crate::obs::{AccessLogFn, ServerObs};
 use df_core::builder::{Audit, EpsilonEstimator, SubsetPolicy};
-use df_core::fleet::{merge_many, FleetIngest, FleetTelemetry, SnapshotDecoder};
+use df_core::fleet::{merge_many_borrowed, FleetIngest, FleetTelemetry, SnapshotDecoder};
 use df_core::metric::Metric;
 use df_core::monitor::{AlertRule, ChangepointSpec, MonitorBuilder, MonitorSnapshot};
 use df_core::{DfError, Result};
@@ -89,8 +89,8 @@ pub struct ServerState {
     reference: MonitorSnapshot,
     decoder: Mutex<SnapshotDecoder>,
     /// Latest wire snapshot per remote replica (BTreeMap: deterministic
-    /// merge order).
-    remote: Mutex<BTreeMap<String, MonitorSnapshot>>,
+    /// merge order). Shared, so a cut folds them without copying cells.
+    remote: Mutex<BTreeMap<String, Arc<MonitorSnapshot>>>,
     version: AtomicU64,
     next_shard: AtomicUsize,
     max_seen: Mutex<Option<f64>>,
@@ -318,7 +318,7 @@ impl ServerState {
             ));
         }
         let totals = (snap.records_seen, snap.window_rows);
-        lock_recover(&self.remote).insert(replica.to_string(), snap);
+        lock_recover(&self.remote).insert(replica.to_string(), Arc::new(snap));
         self.bump_version();
         Ok(totals)
     }
@@ -327,15 +327,15 @@ impl ServerState {
     /// fleet folded with the latest snapshot of every remote replica.
     fn merged_snapshot(&self, timeout: Duration) -> Result<MonitorSnapshot> {
         let local = self.fleet.try_snapshot_timeout(timeout)?;
-        let remote = lock_recover(&self.remote);
+        let remote: Vec<Arc<MonitorSnapshot>> =
+            lock_recover(&self.remote).values().cloned().collect();
         if remote.is_empty() {
             return Ok(local);
         }
         let mut all = Vec::with_capacity(1 + remote.len());
-        all.push(local);
-        all.extend(remote.values().cloned());
-        drop(remote);
-        merge_many(&all, &*self.estimator)
+        all.push(&local);
+        all.extend(remote.iter().map(|r| &**r));
+        merge_many_borrowed(&all, &*self.estimator)
     }
 
     /// [`Self::merged_snapshot`] behind the version-tagged cache: the

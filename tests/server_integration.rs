@@ -17,6 +17,7 @@
 //!    frames all map to their typed statuses over a raw socket.
 
 use differential_fairness::prelude::*;
+use differential_fairness::server::MAX_POSTERIOR_SAMPLES;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
@@ -258,6 +259,30 @@ fn query_parameters_reproduce_builder_calls() {
         .unwrap();
     assert_eq!(a.status, 200, "{}", a.text());
     assert_eq!(a.text(), b.text());
+
+    // `samples=` is bounded on both ends before anything is allocated:
+    // the cap itself is served, zero and anything above it are a typed 400.
+    let cap = MAX_POSTERIOR_SAMPLES;
+    let got = c
+        .get(&format!("/v1/audit?estimator=posterior&samples={cap}"))
+        .unwrap();
+    assert_eq!(got.status, 200, "{}", got.text());
+    for bad in [
+        "0".to_string(),
+        (cap + 1).to_string(),
+        u64::MAX.to_string(),
+        "99999999999999999999999".to_string(),
+    ] {
+        let got = c
+            .get(&format!("/v1/audit?estimator=posterior&samples={bad}"))
+            .unwrap();
+        assert_eq!(got.status, 400, "samples={bad}: {}", got.text());
+        assert!(
+            got.text().contains("\"kind\":\"invalid\""),
+            "{}",
+            got.text()
+        );
+    }
 
     // window=decayed without decay configured is a clean 400.
     let got = c.get("/v1/audit?window=decayed").unwrap();
