@@ -457,3 +457,66 @@ fn codec_rejects_corrupt_cells_with_typed_error() {
         Err(DfError::CorruptCounts { cell: 1, .. })
     ));
 }
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Golden DFLT bytes: a full frame and the delta frame that follows it,
+/// for a fixed two-axis monitor with one fired alert and a decayed
+/// horizon (so both the varint and the f64 cell forms appear). Round-trip
+/// tests would still pass after a wire-format change; this pins the
+/// encoded bytes themselves.
+#[test]
+fn dflt_full_and_delta_frames_match_golden_bytes() {
+    let mut monitor = Audit::monitor("y", axes(2))
+        .estimator(Smoothed { alpha: 1.0 })
+        .subsets(SubsetPolicy::All)
+        .window_seconds(4.0)
+        .bucket_seconds(1.0)
+        .decay(0.5)
+        .alert(AlertRule::epsilon_above(0.1))
+        .build()
+        .unwrap();
+    let biased = Pairs(vec![[1, 0], [1, 0], [1, 0], [0, 1], [1, 1], [0, 1]]);
+    for t in 0..3 {
+        monitor.push_at(&biased, f64::from(t)).unwrap();
+    }
+    let first = monitor.snapshot().unwrap();
+    monitor.push_at(&biased, 3.0).unwrap();
+    let second = monitor.snapshot().unwrap();
+    assert_eq!(second.alerts.len(), 1);
+
+    let mut enc = SnapshotEncoder::new();
+    let full = enc.encode(&first).unwrap();
+    let delta = enc.encode(&second).unwrap();
+    assert_eq!(hex(&full), GOLDEN_DFLT_FULL);
+    assert_eq!(hex(&delta), GOLDEN_DFLT_DELTA);
+
+    let mut dec = SnapshotDecoder::new();
+    assert_eq!(dec.decode(&full).unwrap(), first);
+    assert_eq!(dec.decode(&delta).unwrap(), second);
+}
+
+const GOLDEN_DFLT_FULL: &str = concat!(
+    "44464c54020137000e544cee40d501790b6570732d444628613d312906657073",
+    "2d646601000000000000104001000000000000f03f01000000000000e03f0201",
+    "7902026e6f037965730167020267300267310101016700121201000000000000",
+    "004001000609030000000000000000000000000000000c400000000000001540",
+    "000000000000fc3f575a32ae7222ff3f01026e6f04673d673104673d67305d74",
+    "d145175de43f46175d74d145b73f1ee9dc75b310f83f01026e6f04673d673104",
+    "673d673009cb3d8db0dce33f967b1a61b9a7c13f575a32ae7222ff3f01026e6f",
+    "04673d673104673d67305d74d145175de43f46175d74d145b73f019a99999999",
+    "99b93f01060100000000000000000a03ad7aea93f13f01026e6f04673d673104",
+    "673d6730333333333333e33f9a9999999999c93f",
+);
+const GOLDEN_DFLT_DELTA: &str = concat!(
+    "44464c54020237000e544cee40d518180100000000000008400100080c040000",
+    "000000000000000000000000000e400000000000801640000000000000fe3f0b",
+    "03ad7aea93014001026e6f04673d673104673d6730254992244992e43f922449",
+    "922449b23f6a2c0f0d29eef83f01026e6f04673d673104673d67302643b08e36",
+    "efe33f3bdabc4f71c9c03f0b03ad7aea93014001026e6f04673d673104673d67",
+    "30254992244992e43f922449922449b23f019a9999999999b93f010601000000",
+    "00000000000a03ad7aea93f13f01026e6f04673d673104673d67303333333333",
+    "33e33f9a9999999999c93f",
+);

@@ -266,3 +266,27 @@ fn bit_flipped_logs_never_panic() {
         }
     }
 }
+
+/// Golden DFRL bytes: a categorical and a numeric column over two chunks.
+/// Round-trip tests would still pass after a wire-format change; this
+/// pins the encoded bytes themselves.
+#[test]
+fn dfrl_log_matches_golden_bytes() {
+    let frame = DataFrame::new(vec![
+        Column::categorical("y", &["no", "yes", "yes"]),
+        Column::numeric("score", vec![0.5, -2.25, 1e300]),
+    ])
+    .unwrap();
+    let mut log = Vec::new();
+    let stats = write_frame_log(&frame, 2, &mut log).unwrap();
+    assert_eq!(stats.chunks, 2);
+    let hex: String = log.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, GOLDEN_DFRL);
+    let back = read_frame_log(log.as_slice()).unwrap();
+    assert_eq!(back.column("y").unwrap().value_str(2), "yes");
+}
+
+const GOLDEN_DFRL: &str = concat!(
+    "4446524c01130201790002026e6f037965730573636f72650113020001000000",
+    "000000e03f00000000000002c00a01019c7500883ce4377e00",
+);
