@@ -1,8 +1,8 @@
 //! The fluent audit builder: one composable entry point for everything the
 //! paper computes.
 //!
-//! [`Audit`] replaces the rigid `FairnessAudit::run` + free-function
-//! plumbing with a single chain:
+//! [`Audit`] composes estimators, subset policy, baselines, and report
+//! stages in a single chain:
 //!
 //! ```
 //! use df_core::builder::{Audit, Baselines, Smoothed};

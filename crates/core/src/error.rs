@@ -79,6 +79,17 @@ impl From<df_prob::ProbError> for DfError {
     }
 }
 
+/// A DFLT decode failure, reported with the byte offset where the frame
+/// went bad.
+impl From<df_prob::wire::WireError> for DfError {
+    fn from(e: df_prob::wire::WireError) -> Self {
+        DfError::Invalid(format!(
+            "corrupt snapshot frame at byte {}: {}",
+            e.offset, e.message
+        ))
+    }
+}
+
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, DfError>;
 

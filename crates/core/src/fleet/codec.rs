@@ -15,7 +15,8 @@
 //!   counts, ε results, alert and alarm logs, detector statistics.
 //!   Shipped in **delta frames** that reference the schema by hash.
 //!
-//! Wire layout (all integers little-endian; `varint` is unsigned LEB128):
+//! Wire layout (all integers little-endian; `varint` is unsigned LEB128;
+//! the primitives are the shared [`df_prob::wire`] ones):
 //!
 //! ```text
 //! frame   := magic "DFLT" | version u8 | kind u8 | schema_hash u64 | body
@@ -40,7 +41,9 @@
 //! version, unknown schema hashes, trailing garbage, invalid UTF-8,
 //! malformed axes, and non-finite or negative cell values all produce
 //! typed [`DfError`]s ([`DfError::CorruptCounts`] for cells) — nothing
-//! panics and no corrupt count ever reaches the ε kernel.
+//! panics and no corrupt count ever reaches the ε kernel. Frames are read
+//! with the bounded [`df_prob::wire::Reader`], whose failures become
+//! [`DfError::Invalid`] naming the byte offset where the frame went bad.
 
 use crate::epsilon::{EpsilonResult, EpsilonWitness};
 use crate::error::{DfError, Result};
@@ -51,6 +54,7 @@ use crate::monitor::{
 use crate::subsets::SubsetEpsilon;
 use df_prob::contingency::Axis;
 use df_prob::numerics::exactly_zero;
+use df_prob::wire::{put_f64, put_opt_f64, put_str, put_varint, Reader};
 use std::collections::HashMap;
 
 /// The frame magic: `DFLT` ("differential-fairness fleet transport").
@@ -75,171 +79,6 @@ const MAX_EXACT: u64 = 1 << 53;
 /// `as usize` on 32-bit targets, which is exactly what `no-lossy-cast`
 /// exists to prevent).
 const MAX_ALERT_CONSECUTIVE: u64 = 1 << 20;
-
-// ---------------------------------------------------------------------------
-// Primitive writers.
-// ---------------------------------------------------------------------------
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        // df-lint: allow(no-lossy-cast) -- masked to 7 bits the line before; the cast cannot lose information
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put_f64(out, x);
-        }
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Primitive reader (bounds-checked; every failure is a typed error).
-// ---------------------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(DfError::Invalid(format!(
-                "truncated snapshot frame: needed {n} more bytes at offset {}, \
-                 have {}",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| DfError::Invalid("snapshot frame offset overflows usize".into()))?;
-        let slice = self.buf.get(self.pos..end).ok_or_else(|| {
-            DfError::Invalid(format!(
-                "truncated snapshot frame: range {}..{end} out of bounds",
-                self.pos
-            ))
-        })?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        self.take(1)?
-            .first()
-            .copied()
-            .ok_or_else(|| DfError::Invalid("empty read where one byte was promised".into()))
-    }
-
-    fn u64_le(&mut self) -> Result<u64> {
-        let bytes = self.take(8)?;
-        let bytes: [u8; 8] = bytes
-            .try_into()
-            .map_err(|_| DfError::Invalid("truncated u64 in snapshot frame".into()))?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64_le()?))
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            flag => Err(DfError::Invalid(format!(
-                "invalid optional-value flag {flag} in snapshot frame"
-            ))),
-        }
-    }
-
-    fn varint(&mut self) -> Result<u64> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift == 63 && byte > 1 {
-                return Err(DfError::Invalid(
-                    "varint overflows u64 in snapshot frame".into(),
-                ));
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(DfError::Invalid(
-                    "varint longer than 10 bytes in snapshot frame".into(),
-                ));
-            }
-        }
-    }
-
-    /// A varint that must fit `usize` *and* is used as an element count:
-    /// bounded by the bytes still in the buffer (each element costs ≥ 1
-    /// byte), so a hostile length can never trigger a giant allocation.
-    fn count(&mut self) -> Result<usize> {
-        let n = self.varint()?;
-        if n > self.remaining() as u64 {
-            return Err(DfError::Invalid(format!(
-                "snapshot frame claims {n} elements but only {} bytes remain",
-                self.remaining()
-            )));
-        }
-        usize::try_from(n).map_err(|_| {
-            DfError::Invalid(format!(
-                "snapshot frame element count {n} does not fit this target's usize"
-            ))
-        })
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let len = self.count()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| DfError::Invalid("invalid UTF-8 string in snapshot frame".into()))
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.remaining() != 0 {
-            return Err(DfError::Invalid(format!(
-                "{} trailing bytes after snapshot frame",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -382,20 +221,20 @@ impl SnapshotSchema {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<SnapshotSchema> {
-        let outcome_axis = r.str()?;
-        let estimator = r.str()?;
-        let metric = r.str()?;
-        let window_seconds = r.opt_f64()?;
-        let bucket_seconds = r.opt_f64()?;
-        let decay = r.opt_f64()?;
-        let n_axes = r.count()?;
+        let outcome_axis = r.str("outcome axis")?;
+        let estimator = r.str("estimator")?;
+        let metric = r.str("metric tag")?;
+        let window_seconds = r.opt_f64("window seconds")?;
+        let bucket_seconds = r.opt_f64("bucket seconds")?;
+        let decay = r.opt_f64("decay")?;
+        let n_axes = r.count("axis count")?;
         let mut axes = Vec::with_capacity(n_axes);
         for _ in 0..n_axes {
-            let name = r.str()?;
-            let n_labels = r.count()?;
+            let name = r.str("axis name")?;
+            let n_labels = r.count("label count")?;
             let mut labels = Vec::with_capacity(n_labels);
             for _ in 0..n_labels {
-                labels.push(r.str()?);
+                labels.push(r.str("axis label")?);
             }
             axes.push((name, labels));
         }
@@ -411,20 +250,20 @@ impl SnapshotSchema {
             decay,
             axes,
             subset_attrs: {
-                let n_subsets = r.count()?;
+                let n_subsets = r.count("subset count")?;
                 let mut subset_attrs = Vec::with_capacity(n_subsets);
                 for _ in 0..n_subsets {
-                    let n_attrs = r.count()?;
+                    let n_attrs = r.count("subset size")?;
                     let mut attrs = Vec::with_capacity(n_attrs);
                     for _ in 0..n_attrs {
-                        attrs.push(r.str()?);
+                        attrs.push(r.str("subset attribute")?);
                     }
                     subset_attrs.push(attrs);
                 }
                 subset_attrs
             },
             specs: {
-                let n_specs = r.count()?;
+                let n_specs = r.count("detector count")?;
                 let mut specs = Vec::with_capacity(n_specs);
                 for _ in 0..n_specs {
                     specs.push(get_spec(r)?);
@@ -524,8 +363,8 @@ fn put_spec(out: &mut Vec<u8>, spec: &ChangepointSpec) {
 }
 
 fn get_spec(r: &mut Reader<'_>) -> Result<ChangepointSpec> {
-    let family = r.u8()?;
-    let signal = match r.u8()? {
+    let family = r.u8("detector family")?;
+    let signal = match r.u8("detector signal")? {
         0 => ChangeSignal::Epsilon,
         1 => ChangeSignal::RawLogRatio,
         code => {
@@ -534,7 +373,11 @@ fn get_spec(r: &mut Reader<'_>) -> Result<ChangepointSpec> {
             )));
         }
     };
-    let (a, b, c) = (r.f64()?, r.f64()?, r.f64()?);
+    let (a, b, c) = (
+        r.f64("detector parameter")?,
+        r.f64("detector parameter")?,
+        r.f64("detector parameter")?,
+    );
     match family {
         0 => Ok(ChangepointSpec::Cusum {
             target: a,
@@ -591,23 +434,25 @@ fn put_cells(out: &mut Vec<u8>, cells: &[f64]) -> Result<()> {
 }
 
 fn get_cells(r: &mut Reader<'_>, n_cells: usize) -> Result<Vec<f64>> {
-    let tag = r.u8()?;
+    let tag = r.u8("cell encoding")?;
     // Every cell costs at least one wire byte in either encoding, so a
     // schema whose cell product exceeds the bytes actually present is
     // corrupt — checked *before* the allocation, which a hostile schema
     // could otherwise inflate to terabytes from a few KB of labels.
     if n_cells > r.remaining() {
-        return Err(DfError::Invalid(format!(
-            "snapshot frame claims {n_cells} cells but only {} bytes remain",
-            r.remaining()
-        )));
+        return Err(r
+            .error(format!(
+                "schema implies {n_cells} cells but only {} bytes remain",
+                r.remaining()
+            ))
+            .into());
     }
     // df-lint: allow(bounded-alloc-decode) -- n_cells is rejected against r.remaining() just above; each cell costs >= 1 wire byte
     let mut cells = Vec::with_capacity(n_cells);
     match tag {
         CELLS_F64 => {
             for cell in 0..n_cells {
-                let v = r.f64()?;
+                let v = r.f64("cell")?;
                 if !v.is_finite() || v < 0.0 {
                     return Err(DfError::CorruptCounts { cell, value: v });
                 }
@@ -616,7 +461,7 @@ fn get_cells(r: &mut Reader<'_>, n_cells: usize) -> Result<Vec<f64>> {
         }
         CELLS_VARINT => {
             for cell in 0..n_cells {
-                let raw = r.varint()?;
+                let raw = r.varint("cell")?;
                 if raw > MAX_EXACT {
                     return Err(DfError::CorruptCounts {
                         cell,
@@ -651,15 +496,15 @@ fn put_eps(out: &mut Vec<u8>, eps: &EpsilonResult) {
 }
 
 fn get_eps(r: &mut Reader<'_>) -> Result<EpsilonResult> {
-    let epsilon = r.f64()?;
-    let witness = match r.u8()? {
+    let epsilon = r.f64("epsilon")?;
+    let witness = match r.u8("witness flag")? {
         0 => None,
         1 => Some(EpsilonWitness {
-            outcome: r.str()?,
-            group_hi: r.str()?,
-            group_lo: r.str()?,
-            prob_hi: r.f64()?,
-            prob_lo: r.f64()?,
+            outcome: r.str("witness outcome")?,
+            group_hi: r.str("witness group")?,
+            group_lo: r.str("witness group")?,
+            prob_hi: r.f64("witness probability")?,
+            prob_lo: r.f64("witness probability")?,
         }),
         flag => {
             return Err(DfError::Invalid(format!(
@@ -726,9 +571,9 @@ fn put_state(out: &mut Vec<u8>, schema: &SnapshotSchema, snap: &MonitorSnapshot)
 }
 
 fn get_state(r: &mut Reader<'_>, schema: &SnapshotSchema) -> Result<MonitorSnapshot> {
-    let records_seen = r.varint()?;
-    let window_rows = r.varint()?;
-    let now_seconds = r.opt_f64()?;
+    let records_seen = r.varint("records seen")?;
+    let window_rows = r.varint("window rows")?;
+    let now_seconds = r.opt_f64("clock")?;
     let n_cells = schema.n_cells()?;
     let window = CountsSnapshot {
         axes: schema.axes.clone(),
@@ -756,11 +601,11 @@ fn get_state(r: &mut Reader<'_>, schema: &SnapshotSchema) -> Result<MonitorSnaps
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    let n_alerts = r.count()?;
+    let n_alerts = r.count("alert count")?;
     let mut alerts = Vec::with_capacity(n_alerts);
     for alert_idx in 0..n_alerts {
-        let threshold = r.f64()?;
-        let raw_consecutive = r.varint()?;
+        let threshold = r.f64("alert threshold")?;
+        let raw_consecutive = r.varint("alert consecutive")?;
         if raw_consecutive > MAX_ALERT_CONSECUTIVE {
             return Err(DfError::CorruptCounts {
                 cell: alert_idx,
@@ -771,8 +616,8 @@ fn get_state(r: &mut Reader<'_>, schema: &SnapshotSchema) -> Result<MonitorSnaps
             cell: alert_idx,
             value: raw_consecutive as f64,
         })?;
-        let at_record = r.varint()?;
-        let at_seconds = r.opt_f64()?;
+        let at_record = r.varint("alert record")?;
+        let at_seconds = r.opt_f64("alert clock")?;
         let eps = get_eps(r)?;
         alerts.push(Alert {
             rule: AlertRule {
@@ -789,16 +634,16 @@ fn get_state(r: &mut Reader<'_>, schema: &SnapshotSchema) -> Result<MonitorSnaps
         .specs
         .iter()
         .map(|&spec| {
-            let statistic = r.f64()?;
-            let n_alarms = r.count()?;
+            let statistic = r.f64("detector statistic")?;
+            let n_alarms = r.count("alarm count")?;
             let mut alarms = Vec::with_capacity(n_alarms);
             for _ in 0..n_alarms {
                 alarms.push(ChangepointAlarm {
                     detector: spec,
-                    at_record: r.varint()?,
-                    at_seconds: r.opt_f64()?,
-                    statistic: r.f64()?,
-                    signal: r.f64()?,
+                    at_record: r.varint("alarm record")?,
+                    at_seconds: r.opt_f64("alarm clock")?,
+                    statistic: r.f64("alarm statistic")?,
+                    signal: r.f64("alarm signal")?,
                 });
             }
             Ok(ChangepointStatus {
@@ -933,31 +778,31 @@ impl SnapshotDecoder {
     /// schema — an unknown hash is a typed error telling the caller to
     /// request a full frame from that replica.
     pub fn decode(&mut self, bytes: &[u8]) -> Result<MonitorSnapshot> {
-        let mut r = Reader::new(bytes);
-        let magic = r.take(4)?;
+        let mut r = Reader::new(bytes, 0);
+        let magic = r.take(4, "magic")?;
         if magic != MAGIC {
             return Err(DfError::Invalid(
                 "not a snapshot frame: bad magic bytes".into(),
             ));
         }
-        let version = r.u8()?;
+        let version = r.u8("version")?;
         if version != VERSION {
             return Err(DfError::Invalid(format!(
                 "unsupported snapshot frame version {version} (this decoder \
                  speaks version {VERSION})"
             )));
         }
-        let kind = r.u8()?;
-        let hash = r.u64_le()?;
+        let kind = r.u8("frame kind")?;
+        let hash = r.u64_le("schema hash")?;
         // Borrow the interned schema rather than cloning it: delta frames
         // are the 1 kHz hot path, and a per-frame deep clone of the axis
         // vocabularies would be pure allocation churn.
         let schema: &SnapshotSchema = match kind {
             KIND_FULL => {
-                let start = r.pos;
+                let start = r.pos();
                 let schema = SnapshotSchema::decode(&mut r)?;
                 let schema_span = bytes
-                    .get(start..r.pos)
+                    .get(start..r.pos())
                     .ok_or_else(|| DfError::Invalid("schema span out of frame bounds".into()))?;
                 let actual = fnv1a64(schema_span);
                 if actual != hash {
@@ -1010,7 +855,7 @@ impl SnapshotDecoder {
             }
         };
         let snap = get_state(&mut r, schema)?;
-        r.done()?;
+        r.done("snapshot frame")?;
         Ok(snap)
     }
 }

@@ -9,7 +9,8 @@
 //! into [`ContingencyTable::tally_codes_trusted`] with no string ever
 //! materialized.
 //!
-//! Wire layout (all integers little-endian; `varint` is unsigned LEB128):
+//! Wire layout (all integers little-endian; `varint` is unsigned LEB128;
+//! the primitives are the shared [`df_prob::wire`] ones):
 //!
 //! ```text
 //! log    := magic "DFRL" | version u8 | frame(header) | frame(chunk)* | end
@@ -26,10 +27,12 @@
 //! ```
 //!
 //! Decoding treats the log as untrusted input, exactly like the DFLT fleet
-//! codec: truncation at any offset, bad magic or version, oversized frames,
-//! element counts exceeding the bytes that remain, invalid UTF-8, duplicate
-//! schema entries, out-of-range codes, and bytes after the end marker all
-//! produce typed [`DataError::Replay`] errors — nothing panics, and no
+//! codec, and reads frame bodies with the same bounded
+//! [`df_prob::wire::Reader`]: truncation at any offset, bad magic or
+//! version, oversized frames, element counts exceeding the bytes that
+//! remain, invalid UTF-8, duplicate schema entries, out-of-range codes, and
+//! bytes after the end marker all produce typed [`DataError::Replay`]
+//! errors carrying the failing byte offset — nothing panics, and no
 //! allocation is sized by an attacker-chosen header field alone. Codes are
 //! range-checked against their vocabulary once at decode, which is what
 //! licenses the trusted (scan-free) tally downstream.
@@ -49,9 +52,10 @@ use crate::error::{DataError, Result};
 use crate::frame::{Column, ColumnData, DataFrame, Interner};
 use df_prob::contingency::{Axis, ContingencyTable};
 use df_prob::partial::{PartialCounts, Tally};
+use df_prob::wire::{leb128, put_f64, put_str, put_varint, Reader};
 use df_prob::ProbError;
 use std::collections::HashSet;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 use std::sync::Arc;
 
 /// The log magic: `DFRL` ("differential-fairness replay log").
@@ -167,32 +171,6 @@ impl LogSchema {
     pub fn columns(&self) -> &[LogColumn] {
         &self.columns
     }
-}
-
-// ---------------------------------------------------------------------------
-// Primitive writers (shared varint/str/f64 encoding).
-// ---------------------------------------------------------------------------
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        // df-lint: allow(no-lossy-cast) -- masked to 7 bits the line before; the cast cannot lose information
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +412,11 @@ impl<R: BufRead> FrameSource<R> {
                 offset: self.offset,
                 message: format!("internal fill range error reading {what}"),
             })?;
-            let got = self.inner.read(dst)?;
+            let got = match self.inner.read(dst) {
+                Ok(got) => got,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
             if got == 0 {
                 return Err(self.corrupt(format!(
                     "log truncated reading {what}: needed {} more bytes",
@@ -458,21 +440,9 @@ impl<R: BufRead> FrameSource<R> {
 
     /// Unsigned LEB128 straight off the stream (frame lengths).
     fn varint(&mut self, what: &str) -> Result<u64> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.byte(what)?;
-            if shift == 63 && byte > 1 {
-                return Err(self.corrupt(format!("varint overflows u64 in {what}")));
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(self.corrupt(format!("varint longer than 10 bytes in {what}")));
-            }
+        match leb128(|| self.byte(what))? {
+            Some(value) => Ok(value),
+            None => Err(self.corrupt(format!("varint overflows u64 in {what}"))),
         }
     }
 
@@ -499,117 +469,14 @@ impl<R: BufRead> FrameSource<R> {
 
     /// Requires clean EOF (called after the end marker).
     fn expect_eof(&mut self) -> Result<()> {
-        if !self.inner.fill_buf()?.is_empty() {
-            return Err(self.corrupt("trailing bytes after the end marker".into()));
-        }
-        Ok(())
-    }
-}
-
-/// Bounds-checked reader over one frame body; `base` is the frame's
-/// absolute offset in the log so errors point at real byte positions.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    base: u64,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], base: u64) -> Self {
-        Self { buf, pos: 0, base }
-    }
-
-    fn corrupt(&self, message: String) -> DataError {
-        DataError::Replay {
-            offset: self.base + self.pos as u64,
-            message,
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(self.corrupt(format!(
-                "frame truncated reading {what}: needed {n} bytes, have {}",
-                self.remaining()
-            )));
-        }
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| self.corrupt(format!("frame offset overflows reading {what}")))?;
-        let slice = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| self.corrupt(format!("frame range out of bounds reading {what}")))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        self.take(1, what)?
-            .first()
-            .copied()
-            .ok_or_else(|| self.corrupt(format!("empty read where {what} was promised")))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        let bytes = self.take(8, what)?;
-        let bytes: [u8; 8] = bytes
-            .try_into()
-            .map_err(|_| self.corrupt(format!("truncated f64 cell in {what}")))?;
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
-    }
-
-    fn varint(&mut self, what: &str) -> Result<u64> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
         loop {
-            let byte = self.u8(what)?;
-            if shift == 63 && byte > 1 {
-                return Err(self.corrupt(format!("varint overflows u64 in {what}")));
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(self.corrupt(format!("varint longer than 10 bytes in {what}")));
+            match self.inner.fill_buf() {
+                Ok([]) => return Ok(()),
+                Ok(_) => return Err(self.corrupt("trailing bytes after the end marker".into())),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
             }
         }
-    }
-
-    /// A varint used as an element count: rejected when it exceeds the
-    /// bytes still in the frame (every element costs ≥ 1 byte), so a
-    /// hostile count can never size an allocation beyond held input.
-    fn count(&mut self, what: &str) -> Result<usize> {
-        let n = self.varint(what)?;
-        if n > self.remaining() as u64 {
-            return Err(self.corrupt(format!(
-                "{what} claims {n} elements but only {} bytes remain in the frame",
-                self.remaining()
-            )));
-        }
-        usize::try_from(n)
-            .map_err(|_| self.corrupt(format!("{what} of {n} does not fit this target's usize")))
-    }
-
-    fn str(&mut self, what: &str) -> Result<String> {
-        let len = self.count(what)?;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| self.corrupt(format!("invalid UTF-8 in {what}")))
-    }
-
-    fn done(&self, what: &str) -> Result<()> {
-        if self.remaining() != 0 {
-            return Err(self.corrupt(format!("{} trailing bytes after {what}", self.remaining())));
-        }
-        Ok(())
     }
 }
 
@@ -693,7 +560,7 @@ impl<R: BufRead> LogReader<R> {
         let mut r = Reader::new(&body, base);
         let n_rows = r.count("chunk row count")?;
         if n_rows == 0 {
-            return Err(r.corrupt("chunk frame with zero rows".into()));
+            return Err(r.error("chunk frame with zero rows".into()).into());
         }
         let mut columns = Vec::with_capacity(self.arities.len());
         for (spec, arity) in self.schema.columns.iter().zip(&self.arities) {
@@ -707,7 +574,7 @@ impl<R: BufRead> LogReader<R> {
                                 .ok()
                                 .filter(|c| c < arity)
                                 .ok_or_else(|| {
-                                    r.corrupt(format!(
+                                    r.error(format!(
                                         "code {raw} out of range for column `{}` ({arity} labels)",
                                         spec.name()
                                     ))
@@ -734,7 +601,7 @@ fn decode_header(buf: &[u8], base: u64) -> Result<LogSchema> {
     let mut r = Reader::new(buf, base);
     let n_cols = r.count("schema column count")?;
     if n_cols == 0 {
-        return Err(r.corrupt("schema declares zero columns".into()));
+        return Err(r.error("schema declares zero columns".into()).into());
     }
     let mut columns = Vec::with_capacity(n_cols);
     for _ in 0..n_cols {
@@ -751,7 +618,7 @@ fn decode_header(buf: &[u8], base: u64) -> Result<LogSchema> {
             }
             KIND_NUMERIC => columns.push(LogColumn::Numeric { name }),
             k => {
-                return Err(r.corrupt(format!("unknown column kind {k}")));
+                return Err(r.error(format!("unknown column kind {k}")).into());
             }
         }
     }
@@ -1581,5 +1448,56 @@ mod tests {
         bytes.extend_from_slice(&header);
         let e = ReplayChunks::new(bytes.as_slice()).unwrap_err();
         assert!(e.to_string().contains("elements"), "{e}");
+    }
+
+    /// A `BufRead` that fails with `ErrorKind::Interrupted` before every
+    /// other read, as a socket or pipe may under signals.
+    struct Interrupting<'a> {
+        inner: &'a [u8],
+        interrupt: bool,
+    }
+
+    impl Interrupting<'_> {
+        fn interrupt_now(&mut self) -> bool {
+            self.interrupt = !self.interrupt;
+            !self.interrupt
+        }
+    }
+
+    impl std::io::Read for Interrupting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.interrupt_now() {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    impl BufRead for Interrupting<'_> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            if self.interrupt_now() {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            Ok(self.inner)
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.inner.consume(n);
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let bytes = sample_log();
+        let flaky = || Interrupting {
+            inner: &bytes,
+            interrupt: false,
+        };
+        let back = read_frame_log(flaky()).unwrap();
+        let mut again = Vec::new();
+        write_frame_log(&back, 2, &mut again).unwrap();
+        assert_eq!(again, bytes);
+        let table = tally_from_log(flaky(), &["y", "g"]).unwrap();
+        assert_eq!(table, sample_frame().contingency(&["y", "g"]).unwrap());
     }
 }

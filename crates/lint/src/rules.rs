@@ -85,8 +85,13 @@ fn in_server_request_path(path: &str) -> bool {
     path.starts_with("crates/server/src/") && !path.ends_with("client.rs")
 }
 
+/// The untrusted binary decoders: the shared wire primitives and the
+/// DFLT and DFRL formats built on them.
 fn in_decode_path(path: &str) -> bool {
-    path == "crates/core/src/fleet/codec.rs" || path == "crates/data/src/replay.rs"
+    matches!(
+        path,
+        "crates/prob/src/wire.rs" | "crates/core/src/fleet/codec.rs" | "crates/data/src/replay.rs"
+    )
 }
 
 /// no-panic-path scope: server request/connection path + the untrusted
@@ -318,7 +323,7 @@ const NARROW: &[&str] = &[
     "u8", "u16", "u32", "i8", "i16", "i32", "f32", "usize", "isize",
 ];
 
-/// `no-lossy-cast`: `as <narrow>` inside the codec decode file.
+/// `no-lossy-cast`: `as <narrow>` inside the binary decode files.
 fn no_lossy_cast(file: &SourceFile, out: &mut Vec<Finding>) {
     if !in_decode_path(&file.path) {
         return;

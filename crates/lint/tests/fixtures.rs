@@ -86,11 +86,9 @@ macro_rules! fixture_set {
 
 #[test]
 fn no_panic_path_fixtures() {
-    check_rule(
-        "no-panic-path",
-        "crates/server/src/http.rs",
-        fixture_set!("no-panic-path"),
-    );
+    for path in ["crates/server/src/http.rs", "crates/prob/src/wire.rs"] {
+        check_rule("no-panic-path", path, fixture_set!("no-panic-path"));
+    }
 }
 
 #[test]
@@ -111,13 +109,19 @@ fn typed_errors_only_fixtures() {
     );
 }
 
+/// The binary decode files, including the shared wire primitives both
+/// decoders read through.
+const DECODE_PATHS: [&str; 3] = [
+    "crates/prob/src/wire.rs",
+    "crates/core/src/fleet/codec.rs",
+    "crates/data/src/replay.rs",
+];
+
 #[test]
 fn no_lossy_cast_fixtures() {
-    check_rule(
-        "no-lossy-cast",
-        "crates/core/src/fleet/codec.rs",
-        fixture_set!("no-lossy-cast"),
-    );
+    for path in DECODE_PATHS {
+        check_rule("no-lossy-cast", path, fixture_set!("no-lossy-cast"));
+    }
 }
 
 #[test]
@@ -149,11 +153,13 @@ fn must_use_results_fixtures() {
 
 #[test]
 fn bounded_alloc_decode_fixtures() {
-    check_rule(
-        "bounded-alloc-decode",
-        "crates/core/src/fleet/codec.rs",
-        fixture_set!("bounded-alloc-decode"),
-    );
+    for path in DECODE_PATHS {
+        check_rule(
+            "bounded-alloc-decode",
+            path,
+            fixture_set!("bounded-alloc-decode"),
+        );
+    }
 }
 
 // `pragma-hygiene` is the meta-rule: it has no "suppressed" variant

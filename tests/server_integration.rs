@@ -592,6 +592,13 @@ fn corrupt_snapshot_frames_are_typed_400s() {
         )
         .unwrap();
     assert_eq!(resp.status, 400, "{}", resp.text());
+    // Still a framing error, and it names where the frame went bad.
+    assert!(
+        resp.text().contains("\"kind\":\"invalid\""),
+        "{}",
+        resp.text()
+    );
+    assert!(resp.text().contains("at byte "), "{}", resp.text());
 
     // A frame whose cell counts are corrupted in flight: the varint for
     // the known cell count 299 (0xAB 0x02) is spliced into the varint for
