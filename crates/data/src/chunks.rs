@@ -187,6 +187,11 @@ impl LabelChunk {
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
     }
+
+    /// The parsed rows, moved out of the chunk.
+    pub fn into_rows(self) -> Vec<Vec<String>> {
+        self.rows
+    }
 }
 
 impl Tally for LabelChunk {

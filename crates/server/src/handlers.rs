@@ -482,19 +482,20 @@ fn ingest_records_inner(
 }
 
 /// Decodes a JSON ingest body into label rows plus the optional body
-/// timestamp.
+/// timestamp. The parsed value is consumed, so each label string moves
+/// into its row without a copy.
 fn parse_json_rows(body: &[u8]) -> Result<(Vec<Vec<String>>, Option<f64>)> {
     let text = std::str::from_utf8(body)
         .map_err(|_| DfError::Invalid("JSON body is not valid UTF-8".into()))?;
     let value =
         serde_json::parse(text).map_err(|e| DfError::Invalid(format!("bad JSON body: {e}")))?;
-    let (rows_value, at) = match &value {
-        Value::Arr(_) => (&value, None),
-        Value::Obj(_) => {
-            let at = match value.field("at") {
+    let (rows_value, at) = match value {
+        Value::Arr(_) => (value, None),
+        Value::Obj(mut pairs) => {
+            let at = match take_field(&mut pairs, "at") {
                 Value::Null => None,
-                Value::Float(f) => Some(*f),
-                Value::Int(i) => Some(*i as f64),
+                Value::Float(f) => Some(f),
+                Value::Int(i) => Some(i as f64),
                 other => {
                     return Err(DfError::Invalid(format!(
                         "`at` must be a number, found {}",
@@ -502,7 +503,7 @@ fn parse_json_rows(body: &[u8]) -> Result<(Vec<Vec<String>>, Option<f64>)> {
                     )))
                 }
             };
-            (value.field("rows"), at)
+            (take_field(&mut pairs, "rows"), at)
         }
         other => {
             return Err(DfError::Invalid(format!(
@@ -512,29 +513,41 @@ fn parse_json_rows(body: &[u8]) -> Result<(Vec<Vec<String>>, Option<f64>)> {
             )))
         }
     };
-    let outer = rows_value
-        .as_arr("rows")
-        .map_err(|e| DfError::Invalid(e.to_string()))?;
+    let Value::Arr(outer) = rows_value else {
+        return Err(DfError::Invalid(format!(
+            "expected array for rows, found {}",
+            rows_value.kind()
+        )));
+    };
     let mut rows = Vec::with_capacity(outer.len());
-    for (i, row) in outer.iter().enumerate() {
-        let cells = row
-            .as_arr("row")
-            .map_err(|_| DfError::Invalid(format!("row {i} is not an array of labels")))?;
-        let mut labels = Vec::with_capacity(cells.len());
-        for cell in cells {
-            match cell {
-                Value::Str(s) => labels.push(s.clone()),
-                other => {
-                    return Err(DfError::Invalid(format!(
-                        "row {i} holds a {} where a label string was expected",
-                        other.kind()
-                    )))
-                }
-            }
-        }
+    for (i, row) in outer.into_iter().enumerate() {
+        let Value::Arr(cells) = row else {
+            return Err(DfError::Invalid(format!(
+                "row {i} is not an array of labels"
+            )));
+        };
+        let labels = cells
+            .into_iter()
+            .map(|cell| match cell {
+                Value::Str(s) => Ok(s),
+                other => Err(DfError::Invalid(format!(
+                    "row {i} holds a {} where a label string was expected",
+                    other.kind()
+                ))),
+            })
+            .collect::<Result<Vec<_>>>()?;
         rows.push(labels);
     }
     Ok((rows, at))
+}
+
+/// Moves the first `name` field out of an object's pairs (`Null` when
+/// absent, matching [`Value::field`]).
+fn take_field(pairs: &mut [(String, Value)], name: &str) -> Value {
+    pairs
+        .iter_mut()
+        .find(|(k, _)| k == name)
+        .map_or(Value::Null, |(_, v)| std::mem::replace(v, Value::Null))
 }
 
 /// Decodes a CSV ingest body (no header row) into label rows.
@@ -548,7 +561,7 @@ fn parse_csv_rows(body: &[u8]) -> Result<Vec<Vec<String>>> {
     let mut rows = Vec::new();
     for chunk in chunks {
         let chunk = chunk.map_err(|e| DfError::Invalid(format!("bad CSV body: {e}")))?;
-        rows.extend(chunk.rows().iter().cloned());
+        rows.extend(chunk.into_rows());
     }
     Ok(rows)
 }
