@@ -206,6 +206,11 @@ impl Tally for LabelChunk {
     }
 }
 
+/// Rows a CSV chunk reserves up front. `chunk_rows` caps a chunk's length
+/// only: a caller that passes a large cap to read a short body in one
+/// chunk must not pay for, say, a million-row buffer per call.
+const CSV_PREALLOC_ROWS: usize = 1024;
+
 /// A streaming CSV record source: reads fixed-size batches of records from
 /// a [`BufRead`] without ever holding the whole file (or frame) in memory.
 ///
@@ -308,7 +313,7 @@ impl<R: BufRead> Iterator for CsvChunks<R> {
         if self.done {
             return None;
         }
-        let mut rows = Vec::with_capacity(self.chunk_rows);
+        let mut rows = Vec::with_capacity(self.chunk_rows.min(CSV_PREALLOC_ROWS));
         while rows.len() < self.chunk_rows {
             match self.next_record() {
                 Ok(Some(record)) => rows.push(record),
@@ -449,6 +454,16 @@ mod tests {
         .unwrap();
         chunk.tally_into(&mut shard).unwrap();
         assert_eq!(shard.total(), 3.0);
+        assert!(chunks.next().is_none());
+    }
+
+    #[test]
+    fn a_large_chunk_cap_reserves_only_a_bounded_buffer() {
+        let mut chunks =
+            CsvChunks::new("no,a\nyes,b\n".as_bytes(), CsvOptions::default(), 1 << 20).unwrap();
+        let rows = chunks.next().unwrap().unwrap().into_rows();
+        assert_eq!(rows.len(), 2);
+        assert!(rows.capacity() <= CSV_PREALLOC_ROWS, "{}", rows.capacity());
         assert!(chunks.next().is_none());
     }
 

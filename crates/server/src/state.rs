@@ -23,6 +23,12 @@
 //! is enqueued: row arity and labels against the schema catalog, and
 //! timestamps against a conservative lower bound (`max_seen − T + b`)
 //! that provably can never land behind any shard's window horizon.
+//!
+//! Validation also encodes each label as its index on the axis, so what
+//! waits in a shard queue is a `CodedRows`: four bytes per label
+//! instead of a heap string each. A burst the shards have not caught up
+//! with yet then holds little memory, and the label strings are freed
+//! on the request thread that parsed them.
 
 use crate::http::Response;
 use crate::obs::{AccessLogFn, ServerObs};
@@ -31,9 +37,9 @@ use df_core::fleet::{merge_many_borrowed, FleetIngest, FleetTelemetry, SnapshotD
 use df_core::metric::Metric;
 use df_core::monitor::{AlertRule, ChangepointSpec, MonitorBuilder, MonitorSnapshot};
 use df_core::{DfError, Result};
-use df_data::chunks::LabelChunk;
 use df_prob::contingency::Axis;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use df_prob::partial::{PartialCounts, Tally};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -76,14 +82,15 @@ pub(crate) struct StateConfig {
 pub struct ServerState {
     outcome: String,
     axes: Vec<Axis>,
-    vocab: Vec<HashSet<String>>,
+    /// Per axis, each label's index on that axis.
+    vocab: Vec<HashMap<String, u32>>,
     estimator: Box<dyn EpsilonEstimator>,
     metric: Box<dyn Metric>,
     window_seconds: f64,
     bucket_seconds: f64,
     decay: Option<f64>,
     snapshot_timeout: Duration,
-    fleet: FleetIngest<LabelChunk>,
+    fleet: FleetIngest<CodedRows>,
     /// The zero snapshot of an identically configured monitor; the
     /// compatibility yardstick for posted wire snapshots.
     reference: MonitorSnapshot,
@@ -120,7 +127,7 @@ impl ServerState {
             b
         };
         let reference = builder().build()?.snapshot()?;
-        let fleet = builder().fleet::<LabelChunk>(cfg.shards)?;
+        let fleet = builder().fleet::<CodedRows>(cfg.shards)?;
         let obs = ServerObs::new(
             fleet.telemetry(),
             cfg.latency_bounds.as_deref(),
@@ -130,7 +137,7 @@ impl ServerState {
         let vocab = cfg
             .axes
             .iter()
-            .map(|a| a.labels().iter().cloned().collect())
+            .map(|a| a.labels().iter().cloned().zip(0u32..).collect())
             .collect();
         Ok(Self {
             outcome: cfg.outcome,
@@ -235,6 +242,7 @@ impl ServerState {
         if rows.is_empty() {
             return Err(DfError::Invalid("no records in request body".into()));
         }
+        let mut codes = Vec::with_capacity(rows.len() * self.axes.len());
         for (i, row) in rows.iter().enumerate() {
             if row.len() != self.axes.len() {
                 return Err(DfError::Invalid(format!(
@@ -249,12 +257,13 @@ impl ServerState {
                 )));
             }
             for (label, (axis, vocab)) in row.iter().zip(self.axes.iter().zip(&self.vocab)) {
-                if !vocab.contains(label) {
+                let Some(&code) = vocab.get(label) else {
                     return Err(DfError::Invalid(format!(
                         "row {i}: `{label}` is not a label of axis `{}`",
                         axis.name()
                     )));
-                }
+                };
+                codes.push(code);
             }
         }
         self.check_timestamp(at)?;
@@ -269,9 +278,11 @@ impl ServerState {
             None => self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards(),
         };
         let accepted = rows.len();
-        self.fleet
-            .producer(shard)?
-            .send(LabelChunk::new(rows), at)?;
+        let chunk = CodedRows {
+            ndim: self.axes.len(),
+            codes,
+        };
+        self.fleet.producer(shard)?.send(chunk, at)?;
         self.bump_version();
         Ok((accepted, shard))
     }
@@ -375,5 +386,79 @@ impl ServerState {
         if cache.1.len() < RESPONSE_CACHE_CAP {
             cache.1.insert(key.to_string(), resp.clone());
         }
+    }
+}
+
+/// Validated rows as label indices, row-major, `ndim` per row. The codes
+/// index the server's own axes, which are also every shard's axes, so
+/// they are in range by construction.
+struct CodedRows {
+    ndim: usize,
+    codes: Vec<u32>,
+}
+
+impl Tally for CodedRows {
+    fn tally_into(&self, shard: &mut PartialCounts) -> df_prob::Result<()> {
+        if shard.ndim() != self.ndim {
+            return Err(df_prob::ProbError::ShapeMismatch {
+                context: "CodedRows::tally_into",
+                expected: self.ndim,
+                actual: shard.ndim(),
+            });
+        }
+        // One record per row, in row order: the same cell increments a
+        // tally by label would make.
+        let mut idx = Vec::with_capacity(self.ndim);
+        for row in self.codes.chunks_exact(self.ndim) {
+            idx.clear();
+            idx.extend(row.iter().map(|&c| c as usize));
+            shard.record(&idx);
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use df_data::chunks::LabelChunk;
+
+    fn axes() -> Vec<Axis> {
+        vec![
+            Axis::from_strs("y", &["no", "yes"]).unwrap(),
+            Axis::from_strs("g", &["a", "b", "c"]).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn coded_rows_tally_the_cells_their_labels_name() {
+        let rows = [["yes", "c"], ["no", "a"], ["yes", "c"], ["no", "b"]];
+        let codes = rows
+            .iter()
+            .flat_map(|row| row.iter().zip(axes()))
+            .map(|(label, axis)| u32::try_from(axis.index_of(label).unwrap()).unwrap())
+            .collect();
+        let mut by_code = PartialCounts::zeros(axes()).unwrap();
+        CodedRows { ndim: 2, codes }
+            .tally_into(&mut by_code)
+            .unwrap();
+        let labelled = rows
+            .iter()
+            .map(|row| row.iter().map(|l| l.to_string()).collect())
+            .collect();
+        let mut by_label = PartialCounts::zeros(axes()).unwrap();
+        LabelChunk::new(labelled).tally_into(&mut by_label).unwrap();
+        assert_eq!(by_code, by_label);
+    }
+
+    #[test]
+    fn coded_rows_refuse_a_shard_of_another_arity() {
+        let mut shard = PartialCounts::zeros(axes()).unwrap();
+        let chunk = CodedRows {
+            ndim: 3,
+            codes: vec![0, 0, 0],
+        };
+        assert!(chunk.tally_into(&mut shard).is_err());
+        assert_eq!(shard, PartialCounts::zeros(axes()).unwrap());
     }
 }
